@@ -62,9 +62,8 @@ constexpr const char* kUsage =
     "               temperature, or any solver option key)\n"
     "print          parse + validate, then print the canonical scenario\n"
     "serve          long-lived daemon: accept decks on an AF_UNIX socket,\n"
-    "               reuse warm pipelines and cached results across\n"
-    "               requests; SIGTERM (or submit --shutdown) drains\n"
-    "               gracefully\n"
+    "               answer repeated decks from a result cache;\n"
+    "               SIGTERM (or submit --shutdown) drains gracefully\n"
     "submit         send a deck to a running qtx serve and print the\n"
     "               results.json reply (bit-identical to a cold qtx run)\n"
     "list-backends  print every registered stage backend key\n"
@@ -427,9 +426,6 @@ int cmd_sweep(const CliArgs& args) {
     std::printf("%-14.6g %16.6e %16.6e %6d %10s\n", r.value,
                 r.terminal_left, r.terminal_right, r.iterations,
                 r.converged ? "yes" : "no");
-  std::printf("(energy pipeline built %d time%s for %zu points)\n",
-              out.pipeline_builds, out.pipeline_builds == 1 ? "" : "s",
-              out.rows.size());
   for (const std::string& f : out.files)
     std::printf("wrote %s\n", f.c_str());
   return 0;
@@ -489,8 +485,7 @@ int cmd_serve(const CliArgs& args) {
   const qtx::serve::ServerStats stats = server.stats();
   if (!args.quiet) {
     std::printf("qtx serve: drained — %llu request%s ok, %llu error%s; "
-                "cache %llu hit%s / %llu miss%s; pipeline pool %llu warm "
-                "/ %llu cold\n",
+                "cache %llu hit%s / %llu miss%s\n",
                 static_cast<unsigned long long>(stats.requests_ok),
                 stats.requests_ok == 1 ? "" : "s",
                 static_cast<unsigned long long>(stats.requests_error),
@@ -498,9 +493,7 @@ int cmd_serve(const CliArgs& args) {
                 static_cast<unsigned long long>(stats.cache.hits),
                 stats.cache.hits == 1 ? "" : "s",
                 static_cast<unsigned long long>(stats.cache.misses),
-                stats.cache.misses == 1 ? "" : "es",
-                static_cast<unsigned long long>(stats.pool.warm_hits),
-                static_cast<unsigned long long>(stats.pool.cold_builds));
+                stats.cache.misses == 1 ? "" : "es");
   }
   return 0;
 }

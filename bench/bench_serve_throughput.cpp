@@ -1,21 +1,20 @@
-// Serve-daemon throughput: what the warm-pipeline pool and the result
-// cache buy over cold solves, measured through the real wire path (an
-// in-process serve::Server plus the blocking serve::Client — the same
-// code `qtx serve` / `qtx submit` run).
+// Serve-daemon throughput: what the result cache buys over cold solves,
+// measured through the real wire path (an in-process serve::Server plus
+// the blocking serve::Client — the same code `qtx serve` / `qtx submit`
+// run).
 //
-// Three phases, one fresh daemon each, R identical mini-deck requests per
+// Two phases, one fresh daemon each, R identical mini-deck requests per
 // phase:
 //
-//   cold    cache off, pool off   — every request builds its engine
-//   pool    cache off, pool on    — requests 2..R reuse a warm engine
-//   cached  cache on,  pool on    — requests 2..R are cache hits
+//   cold    cache off — every request is a full solve
+//   cached  cache on  — requests 2..R are cache hits
 //
 // Emits BENCH_serve_throughput.json (current working directory; gated by
-// bench/check_serve_throughput.py against bench/references.json) and
-// exits non-zero when a gate fails. Correctness gates (every response
-// ok, every stripped payload bit-identical to a cold `qtx run`, pool
-// warm-hit and cache-hit counts exact) always apply; the wall-clock
-// speedup gates only bind on multi-core hosts, where timing is
+// bench/check_bench.py against bench/references.json) and exits non-zero
+// when a gate fails. Correctness gates (every response ok, every stripped
+// payload bit-identical to a cold `qtx run`, no cache hit in the cold
+// phase, a positive hit rate in the cached one) always apply; the
+// wall-clock speedup gate only binds on multi-core hosts, where timing is
 // meaningful.
 
 #include <cstdio>
@@ -70,7 +69,7 @@ struct Phase {
 
 /// Run one daemon configuration and push R requests through it.
 Phase run_phase(const std::string& name, const std::string& socket_dir,
-                std::size_t cache_bytes, int pool_max_idle,
+                std::size_t cache_bytes,
                 const std::string& reference_stripped) {
   Phase phase;
   phase.name = name;
@@ -79,7 +78,6 @@ Phase run_phase(const std::string& name, const std::string& socket_dir,
   opt.socket_path = socket_dir + "/" + name + ".sock";
   opt.workers = 1;  // serial phase — throughput here measures reuse, not cores
   opt.cache_bytes = cache_bytes;
-  opt.pool_max_idle = pool_max_idle;
   serve::Server server(opt);
   server.start();
 
@@ -104,17 +102,16 @@ Phase run_phase(const std::string& name, const std::string& socket_dir,
   phase.stats = server.stats();
   phase.scenarios_per_second =
       phase.seconds > 0.0 ? kRequests / phase.seconds : 0.0;
-  std::printf("%-8s %8.3f s  %8.2f scenarios/s  (pool warm %lld, cache "
-              "hits %lld)\n",
+  std::printf("%-8s %8.3f s  %8.2f scenarios/s  (cache hits %lld)\n",
               name.c_str(), phase.seconds, phase.scenarios_per_second,
-              phase.stats.pool.warm_hits, phase.stats.cache.hits);
+              phase.stats.cache.hits);
   return phase;
 }
 
 }  // namespace
 
 int main() {
-  std::printf("=== serve throughput: cold vs warm pool vs result cache ===\n");
+  std::printf("=== serve throughput: cold vs result cache ===\n");
   std::printf("(%d requests per phase, mini quickstart deck)\n\n", kRequests);
 
   char socket_dir[] = "/tmp/qtx_bench_serve_XXXXXX";
@@ -134,31 +131,26 @@ int main() {
   const std::string reference_stripped = serve::strip_volatile_sections(
       io::render_result_json(s, ref.resolved, ref.results));
 
-  const Phase cold = run_phase("cold", socket_dir, 0, 0, reference_stripped);
-  const Phase pool = run_phase("pool", socket_dir, 0, 2, reference_stripped);
+  const Phase cold = run_phase("cold", socket_dir, 0, reference_stripped);
   const Phase cached =
-      run_phase("cached", socket_dir, 64ull << 20, 2, reference_stripped);
+      run_phase("cached", socket_dir, 64ull << 20, reference_stripped);
   ::rmdir(socket_dir);
 
   const double cache_hit_rate =
       static_cast<double>(cached.stats.cache.hits) / kRequests;
-  const double pool_over_cold =
-      cold.scenarios_per_second > 0.0
-          ? pool.scenarios_per_second / cold.scenarios_per_second
-          : 0.0;
   const double cached_over_cold =
       cold.scenarios_per_second > 0.0
           ? cached.scenarios_per_second / cold.scenarios_per_second
           : 0.0;
   const int hw = par::ThreadPool::hardware_threads();
 
-  std::printf("\ncache hit rate %.2f, pool/cold %.2fx, cached/cold %.2fx "
-              "(%d hardware threads)\n",
-              cache_hit_rate, pool_over_cold, cached_over_cold, hw);
+  std::printf("\ncache hit rate %.2f, cached/cold %.2fx (%d hardware "
+              "threads)\n",
+              cache_hit_rate, cached_over_cold, hw);
 
-  // Gates. Counts and bit-identity always bind; the wall-clock speedups
+  // Gates. Counts and bit-identity always bind; the wall-clock speedup
   // only on multi-core hosts (a loaded single-core box makes any timing
-  // ratio noise). check_serve_throughput.py applies the same rule to
+  // ratio noise). check_bench.py applies the same rule to
   // bench/references.json.
   struct GateRow {
     const char* name;
@@ -166,16 +158,10 @@ int main() {
     bool wall_time;
   };
   const std::vector<GateRow> gates = {
-      {"all_requests_ok", cold.all_ok && pool.all_ok && cached.all_ok,
-       false},
-      {"payloads_bit_identical",
-       cold.identical && pool.identical && cached.identical, false},
-      {"pool_warm_hits_exact", pool.stats.pool.warm_hits == kRequests - 1,
-       false},
-      {"cold_phase_never_warm",
-       cold.stats.pool.warm_hits == 0 && cold.stats.cache.hits == 0, false},
+      {"all_requests_ok", cold.all_ok && cached.all_ok, false},
+      {"payloads_bit_identical", cold.identical && cached.identical, false},
+      {"cold_phase_never_cached", cold.stats.cache.hits == 0, false},
       {"cache_hit_rate_positive", cache_hit_rate > 0.0, false},
-      {"pool_at_least_cold", pool_over_cold >= 1.0, true},
       {"cached_at_least_cold", cached_over_cold >= 1.0, true},
   };
 
@@ -195,21 +181,15 @@ int main() {
                  "  \"requests_per_phase\": %d,\n"
                  "  \"hardware_threads\": %d,\n"
                  "  \"cold_scenarios_per_second\": %.6f,\n"
-                 "  \"pool_scenarios_per_second\": %.6f,\n"
                  "  \"cached_scenarios_per_second\": %.6f,\n"
-                 "  \"pool_over_cold\": %.6f,\n"
                  "  \"cached_over_cold\": %.6f,\n"
                  "  \"cache_hit_rate\": %.6f,\n"
-                 "  \"pool_warm_hits\": %lld,\n"
                  "  \"payloads_bit_identical\": %s,\n"
                  "  \"gates\": [\n",
                  kRequests, hw, cold.scenarios_per_second,
-                 pool.scenarios_per_second, cached.scenarios_per_second,
-                 pool_over_cold, cached_over_cold, cache_hit_rate,
-                 pool.stats.pool.warm_hits,
-                 cold.identical && pool.identical && cached.identical
-                     ? "true"
-                     : "false");
+                 cached.scenarios_per_second, cached_over_cold,
+                 cache_hit_rate,
+                 cold.identical && cached.identical ? "true" : "false");
     for (std::size_t i = 0; i < gates.size(); ++i) {
       std::fprintf(json,
                    "    {\"name\": \"%s\", \"pass\": %s, "

@@ -9,9 +9,11 @@
 #                        # "Invariants"), plus the lint fixture suite.
 #                        # Writes build-ci-lint/lint-report.txt.
 #   ./ci.sh tsan         # QTX_SANITIZE=thread build running the "api",
-#                        # "parallel", and "accel" ctest labels (the suites
-#                        # that exercise the energy pipeline's threading and
-#                        # the mixers' parallel energy loops)
+#                        # "parallel", "accel", "comm", "serve", and "obs"
+#                        # ctest labels (the energy pipeline's threading,
+#                        # the mixers' parallel energy loops, socket
+#                        # framing with thread ranks, the serve daemon's
+#                        # acceptor/worker threads, and the obs buffers)
 #   ./ci.sh asan-ubsan   # QTX_SANITIZE=address,undefined build running the
 #                        # FULL ctest suite; UBSan findings are fatal
 #                        # (-fno-sanitize-recover), so any signed overflow,
@@ -37,6 +39,12 @@
 #                        # and the serve-throughput bench (emits
 #                        # BENCH_serve_throughput.json, gated against
 #                        # bench/references.json by bench/check_bench.py)
+#   ./ci.sh bench-harness
+#                        # builds the qtxbench harness against this tree's
+#                        # src/ and runs `python3 qtxbench/run.py
+#                        # --self-check` (every workload once at tiny
+#                        # sizes, traced and untraced), so a src/ change
+#                        # that breaks the benchmark fails here first
 #   ./ci.sh obs          # Release build running the "obs" ctest label
 #                        # (span nesting/determinism, trace + metrics
 #                        # rendering, serve stats round trip), then an
@@ -71,11 +79,6 @@ build_test() {
     cmake --build "$build_dir" -j "$JOBS"
     echo "=== [$config] header self-sufficiency check ==="
     cmake --build "$build_dir" --target qtx_header_check -j "$JOBS"
-    echo "=== [$config] deprecated Scba shim compile check ==="
-    # The legacy API must keep compiling under -Werror with only the
-    # deprecation warning itself waived (-Wno-deprecated-declarations is set
-    # on the target), proving both API paths stay buildable.
-    cmake --build "$build_dir" --target scba_compat -j "$JOBS"
     echo "=== [$config] ctest (includes the -L api facade suite) ==="
     ctest --test-dir "$build_dir" --output-on-failure -j "$JOBS"
   done
@@ -129,7 +132,7 @@ tsan() {
   # accel layer (mixers running on the parallel energy loop), the comm
   # transports (the socket wire framing runs its ranks as threads here, so
   # TSan sees every frame enqueue/drain), the serve daemon (acceptor +
-  # worker threads sharing the pipeline pool, result cache, and stats), and
+  # worker threads sharing the result cache and stats), and
   # the obs layer (per-thread span buffers and metrics polled mid-run —
   # including TimerRegistry::all()/seconds() against concurrent add()).
   ctest --test-dir "$build_dir" -L "api|parallel|accel|comm|serve|obs" \
@@ -214,14 +217,14 @@ serve() {
   cmake --build "$build_dir" -j "$JOBS" \
     --target test_serve test_golden qtx bench_serve_throughput
   echo "=== [serve] ctest -L 'serve|golden' ==="
-  # The daemon's unit suites (cache, pool, frame/request codecs), the
+  # The daemon's unit suites (result cache, frame/request codecs), the
   # end-to-end socket tests (bit-identity, drain, backpressure,
   # timeouts), and the golden determinism gates including
   # golden.served_quickstart (a served quickstart deck must reproduce
   # tests/golden/quickstart_transmission.txt exactly).
   ctest --test-dir "$build_dir" -L "serve|golden" --output-on-failure \
     -j "$JOBS"
-  echo "=== [serve] throughput bench (cold vs warm pool vs cache) ==="
+  echo "=== [serve] throughput bench (cold vs cache) ==="
   (cd "$build_dir" && ./bench_serve_throughput)
   if command -v python3 > /dev/null 2>&1; then
     echo "=== [serve] gate BENCH_serve_throughput.json against" \
@@ -232,6 +235,15 @@ serve() {
   else
     echo "=== [serve] python3 not found — skipping the reference gate ==="
   fi
+}
+
+bench_harness() {
+  # run.py configures and builds the harness (Release, its own build
+  # directory) against this checkout's src/, then runs every workload once
+  # at tiny sizes and fails unless each emits all of BENCHMARK.json's
+  # metrics and passes its output checks.
+  echo "=== [bench-harness] qtxbench build + self-check ==="
+  python3 qtxbench/run.py --self-check
 }
 
 obs() {
@@ -362,6 +374,7 @@ case "$STAGE" in
   blas) blas ;;
   ranks) ranks ;;
   serve) serve ;;
+  bench-harness) bench_harness ;;
   obs) obs ;;
   tidy) tidy ;;
   docs) docs ;;
@@ -373,13 +386,15 @@ case "$STAGE" in
     blas
     ranks
     serve
+    bench_harness
     obs
     tidy
     docs
     ;;
   *)
     echo "unknown stage '$STAGE' (expected: build-test, lint, tsan," \
-         "asan-ubsan, blas, ranks, serve, obs, tidy, docs, all)" >&2
+         "asan-ubsan, blas, ranks, serve, bench-harness, obs, tidy, docs," \
+         "all)" >&2
     exit 2
     ;;
 esac

@@ -1,7 +1,5 @@
 #include "core/energy_pipeline.hpp"
 
-#include <sstream>
-
 #include "common/reduction.hpp"
 #include "obs/trace.hpp"
 
@@ -9,10 +7,7 @@ namespace qtx::core {
 
 EnergyPipeline::EnergyPipeline(int n_energies, const SimulationOptions& opt,
                                const StageRegistry& registry)
-    : batches_(make_energy_batches(n_energies, opt.energy_batch)),
-      built_symmetrize_(opt.symmetrize),
-      built_nd_partitions_(opt.nd_partitions),
-      built_nd_threads_(opt.nd_threads) {
+    : batches_(make_energy_batches(n_energies, opt.energy_batch)) {
   const std::string obc_key = opt.resolved_obc_backend();
   const std::string greens_key = opt.resolved_greens_backend();
   workspaces_.reserve(batches_.size());
@@ -52,91 +47,6 @@ obc::MemoizerStats EnergyPipeline::obc_stats() const {
     total.fpi_iterations += s.fpi_iterations;
   }
   return total;
-}
-
-void EnergyPipeline::reset() {
-  for (StageWorkspace& ws : workspaces_) ws.obc->reset();
-}
-
-std::string EnergyPipeline::reuse_mismatch(
-    int n_energies, const SimulationOptions& opt) const {
-  std::ostringstream os;
-  const std::vector<EnergyBatch> want =
-      make_energy_batches(n_energies, opt.energy_batch);
-  if (want.size() != batches_.size()) {
-    os << "batch layout changed: " << batches_.size() << " batches held vs "
-       << want.size() << " required (grid.n or energy_batch differ)";
-    return os.str();
-  }
-  for (std::size_t i = 0; i < want.size(); ++i) {
-    if (want[i].begin != batches_[i].begin ||
-        want[i].end != batches_[i].end) {
-      os << "batch " << i << " spans [" << batches_[i].begin << ", "
-         << batches_[i].end << ") but the new run needs [" << want[i].begin
-         << ", " << want[i].end << ")";
-      return os.str();
-    }
-  }
-  if (!workspaces_.empty()) {
-    if (workspaces_[0].obc->name() != opt.resolved_obc_backend()) {
-      os << "OBC backend \"" << workspaces_[0].obc->name()
-         << "\" held but \"" << opt.resolved_obc_backend() << "\" required";
-      return os.str();
-    }
-    if (workspaces_[0].greens->name() != opt.resolved_greens_backend()) {
-      os << "Green's-function backend \"" << workspaces_[0].greens->name()
-         << "\" held but \"" << opt.resolved_greens_backend()
-         << "\" required";
-      return os.str();
-    }
-  }
-  if (executor_->name() != opt.resolved_executor()) {
-    os << "executor \"" << executor_->name() << "\" held but \""
-       << opt.resolved_executor() << "\" required";
-    return os.str();
-  }
-  if (opt.resolved_executor() == "omp" &&
-      executor_->concurrency() != opt.num_threads) {
-    os << "executor runs " << executor_->concurrency()
-       << " workers but num_threads = " << opt.num_threads << " required";
-    return os.str();
-  }
-  // The held solver instances were constructed from these options; reset()
-  // only clears caches, it cannot re-configure them.
-  if (built_symmetrize_ != opt.symmetrize) {
-    os << "solvers were built with symmetrize = "
-       << (built_symmetrize_ ? "true" : "false") << " but "
-       << (opt.symmetrize ? "true" : "false") << " required";
-    return os.str();
-  }
-  if (built_nd_partitions_ != opt.nd_partitions ||
-      built_nd_threads_ != opt.nd_threads) {
-    os << "solvers were built with nd_partitions/nd_threads = "
-       << built_nd_partitions_ << "/" << built_nd_threads_ << " but "
-       << opt.nd_partitions << "/" << opt.nd_threads << " required";
-    return os.str();
-  }
-  return {};
-}
-
-std::string pipeline_reuse_key(int n_energies, const SimulationOptions& opt) {
-  // Keyed on the batch *layout* (not the raw energy_batch value): distinct
-  // energy_batch settings that clamp to the same sharding are genuinely
-  // interchangeable, and reuse_mismatch compares spans, not settings.
-  std::ostringstream os;
-  os << "batches=";
-  for (const EnergyBatch& b : make_energy_batches(n_energies,
-                                                  opt.energy_batch))
-    os << b.begin << "-" << b.end << ",";
-  os << "|obc=" << opt.resolved_obc_backend()
-     << "|greens=" << opt.resolved_greens_backend()
-     << "|exec=" << opt.resolved_executor();
-  // Worker count only constrains reuse under the threaded executor — the
-  // same asymmetry reuse_mismatch applies.
-  if (opt.resolved_executor() == "omp") os << "x" << opt.num_threads;
-  os << "|symmetrize=" << (opt.symmetrize ? 1 : 0)
-     << "|nd=" << opt.nd_partitions << "/" << opt.nd_threads;
-  return os.str();
 }
 
 double ordered_sum(const std::vector<double>& partials) {

@@ -21,7 +21,9 @@
 /// floating-point association is schedule-independent too.
 ///
 /// Both drivers run on this engine: `Simulation` (whole grid per process)
-/// and `distributed_iteration` (each rank pipelines its grid slice).
+/// and `distributed_iteration` (each rank pipelines its grid slice). A
+/// pipeline serves exactly one run: its owner builds it at construction
+/// and drops it with the run, so no solver state ever crosses runs.
 
 #include <functional>
 #include <memory>
@@ -76,42 +78,11 @@ class EnergyPipeline {
   /// so the aggregate is deterministic as well).
   obc::MemoizerStats obc_stats() const;
 
-  /// Drop every batch workspace's cross-iteration state (OBC caches and
-  /// dispatch counters), returning the pipeline to its freshly constructed
-  /// state. A reused pipeline therefore produces bit-identical results to a
-  /// newly built one — the invariant the sweep mode's pipeline sharing
-  /// rests on.
-  void reset();
-
-  /// Empty string when this pipeline can be reused for a run over
-  /// \p n_energies points with \p opt (same batch layout, same resolved
-  /// backend and executor keys, same worker count); otherwise a
-  /// human-readable reason for the mismatch.
-  std::string reuse_mismatch(int n_energies, const SimulationOptions& opt)
-      const;
-
  private:
   std::vector<EnergyBatch> batches_;
   std::vector<StageWorkspace> workspaces_;
   std::unique_ptr<EnergyLoopExecutor> executor_;
-  // Options the solver workspaces were *constructed* with: reset() cannot
-  // change these, so reuse_mismatch must reject runs that need different
-  // values (a symmetrize or nd_partitions sweep rebuilds per point).
-  bool built_symmetrize_ = true;
-  int built_nd_partitions_ = 1;
-  int built_nd_threads_ = 1;
 };
-
-/// Canonical reuse key of a run over \p n_energies points with \p opt: the
-/// exact fields `reuse_mismatch` compares (batch layout, resolved OBC /
-/// Green's-function / executor keys, worker count when the executor is
-/// "omp", and the build-time symmetrize / nested-dissection settings),
-/// folded into one deterministic string. Two runs share a key exactly when
-/// a pipeline built for either is reusable for the other, which makes the
-/// key safe to shelve warm pipelines under — the serve layer's
-/// `PipelinePool` keys its checkouts with it (prefixed by the device
-/// layout, which the pipeline itself never sees).
-std::string pipeline_reuse_key(int n_energies, const SimulationOptions& opt);
 
 /// Deterministic ordered reduction: folds the partials in index order,
 /// independent of the schedule that produced them, so the sum is bit-stable

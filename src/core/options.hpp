@@ -20,8 +20,8 @@
 ///
 /// The sentinel `kAutoBackend` ("auto", the default) picks the backend the
 /// legacy flat options imply: `use_memoizer`, `nd_partitions`, `gw_scale`,
-/// and `ephonon.coupling_ev`, which keeps the deprecated `Scba` shim
-/// bit-compatible with the pre-facade driver.
+/// and `ephonon.coupling_ev`, so option structs filled field by field run
+/// bit-compatibly with the pre-facade driver.
 ///
 /// `validate()` rejects inconsistent inputs with actionable messages
 /// (thrown as std::runtime_error via QTX_CHECK_MSG) *before* any O(n^3)
@@ -137,10 +137,6 @@ struct SimulationOptions {
   /// needed to check cell_potential length and nested-dissection geometry.
   void validate(int num_cells) const;
 };
-
-/// Historic name of the option struct; kept as a plain alias so existing
-/// option-building code compiles unchanged against the new facade.
-using ScbaOptions = SimulationOptions;
 
 // ---------------------------------------------------------------------------
 // String binding — the text interface of SimulationOptions

@@ -36,21 +36,6 @@ const SimulationOptions& validated(const SimulationOptions& opt,
   return opt;
 }
 
-/// Reuse \p pipeline when compatible with the run (reset to its cold state
-/// so the results match a fresh build bit-identically), else build anew.
-std::shared_ptr<EnergyPipeline> acquire_pipeline(
-    std::shared_ptr<EnergyPipeline> pipeline, const SimulationOptions& opt,
-    const StageRegistry& registry) {
-  if (pipeline) {
-    const std::string mismatch = pipeline->reuse_mismatch(opt.grid.n, opt);
-    QTX_CHECK_MSG(mismatch.empty(),
-                  "cannot reuse the provided EnergyPipeline: " << mismatch);
-    pipeline->reset();
-    return pipeline;
-  }
-  return std::make_shared<EnergyPipeline>(opt.grid.n, opt, registry);
-}
-
 // --- shard-exchange wire helpers: bitwise flat (de)serialization ----------
 
 void append_matrix(const la::Matrix& m, std::vector<cplx>& out) {
@@ -89,15 +74,15 @@ void Simulation::distribute_over(par::Comm& comm) {
 
 Simulation::Simulation(const device::Structure& structure,
                        const SimulationOptions& opt,
-                       const StageRegistry& registry,
-                       std::shared_ptr<EnergyPipeline> pipeline)
+                       const StageRegistry& registry)
     : structure_(structure),
       opt_(validated(opt, structure.num_cells())),
       h_eff_(structure.hamiltonian_bt()),
       v_(structure.coulomb_bt()),
       layout_{structure.num_cells(), structure.block_size()},
       engine_(opt.grid, layout_),
-      pipeline_(acquire_pipeline(std::move(pipeline), opt_, registry)),
+      pipeline_(
+          std::make_unique<EnergyPipeline>(opt_.grid.n, opt_, registry)),
       mixer_(registry.make_mixer(opt_.resolved_mixer(), opt_)),
       monitor_(opt_.divergence_factor) {
   // Dense-kernel backend: installed process-globally because the la kernels
@@ -596,12 +581,6 @@ SimulationBuilder& SimulationBuilder::executor(std::string key) {
   return *this;
 }
 
-SimulationBuilder& SimulationBuilder::pipeline(
-    std::shared_ptr<EnergyPipeline> p) {
-  pipeline_ = std::move(p);
-  return *this;
-}
-
 SimulationBuilder& SimulationBuilder::memoizer(bool enabled) {
   opt_.use_memoizer = enabled;
   return *this;
@@ -668,11 +647,8 @@ SimulationBuilder& SimulationBuilder::on_kernel_timing(
 }
 
 Simulation SimulationBuilder::build() const {
-  // The reuse handle is one-shot (see pipeline()): moving it out keeps two
-  // build() calls from wiring both Simulations to one mutable engine.
   Simulation sim(*structure_, opt_,
-                 registry_ ? *registry_ : StageRegistry::global(),
-                 std::move(pipeline_));
+                 registry_ ? *registry_ : StageRegistry::global());
   for (const auto& cb : iteration_observers_) sim.on_iteration(cb);
   for (const auto& cb : kernel_observers_) sim.on_kernel_timing(cb);
   return sim;

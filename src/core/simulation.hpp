@@ -114,16 +114,11 @@ class Simulation {
   /// Observer signature for per-kernel timing samples (see on_kernel_timing).
   using KernelTimingCallback = std::function<void(const KernelTiming&)>;
 
-  /// Validates \p opt (throws std::runtime_error on inconsistent input) and
-  /// resolves the configured backends against \p registry. When \p pipeline
-  /// is non-null the engine is *reused* instead of rebuilt — the sweep
-  /// mode's lever for keeping one thread pool across scenario points. The
-  /// pipeline must match the new options (`EnergyPipeline::reuse_mismatch`
-  /// must be empty; checked here) and is reset to its cold state first, so
-  /// a reused pipeline yields bit-identical results to a fresh one.
+  /// Validates \p opt (throws std::runtime_error on inconsistent input),
+  /// resolves the configured backends against \p registry, and builds the
+  /// run's own energy pipeline.
   Simulation(const device::Structure& structure, const SimulationOptions& opt,
-             const StageRegistry& registry = StageRegistry::global(),
-             std::shared_ptr<EnergyPipeline> pipeline = nullptr);
+             const StageRegistry& registry = StageRegistry::global());
 
   Simulation(Simulation&&) = default;             ///< movable, not copyable
   Simulation& operator=(Simulation&&) = default;  ///< movable, not copyable
@@ -181,17 +176,6 @@ class Simulation {
   obc::MemoizerStats memoizer_stats() const { return pipeline_->obc_stats(); }
   /// The parallel energy-loop engine (executor policy, batch layout).
   const EnergyPipeline& pipeline() const { return *pipeline_; }
-  /// Shared handle to the engine, for reuse by a later Simulation (the
-  /// sweep mode passes it back through the constructor / builder so N
-  /// sweep points share one thread pool instead of building N).
-  ///
-  /// Handing the pipeline to a new Simulation is a *transfer*: adoption
-  /// resets the per-batch solver workspaces, so this Simulation must not
-  /// iterate() afterwards (its observables and accessors stay valid —
-  /// they read materialized state, not the pipeline).
-  std::shared_ptr<EnergyPipeline> shared_pipeline() const {
-    return pipeline_;
-  }
 
   // --- state accessors (energy-major) ------------------------------------
   /// Retarded Green's function, one BlockTridiag per energy point.
@@ -240,9 +224,9 @@ class Simulation {
   GwEngine engine_;  ///< element-wise P stage (paper §4.4)
 
   // Parallel energy-loop engine: executor policy plus per-batch OBC /
-  // Green's-function workspaces (resolved from the registry). Held shared
-  // so sweep drivers can hand one engine from run to run.
-  std::shared_ptr<EnergyPipeline> pipeline_;
+  // Green's-function workspaces (resolved from the registry), owned by
+  // this run alone.
+  std::unique_ptr<EnergyPipeline> pipeline_;
   // Self-energy channels (shared across batches; they run in the global
   // sequential reduction stage, never on pipeline workers).
   std::vector<std::unique_ptr<SelfEnergyChannel>> channels_;
@@ -337,16 +321,6 @@ class SimulationBuilder {
   /// Execution policy key ("sequential", "omp"); default "auto" resolves
   /// from num_threads.
   SimulationBuilder& executor(std::string key);
-  /// Reuse an existing energy pipeline (e.g. a previous run's
-  /// `Simulation::shared_pipeline()`) instead of building a new one. The
-  /// pipeline must match the final options at build() time; it is reset, so
-  /// results stay bit-identical to a fresh build. One-shot: the handle is
-  /// *consumed* by the next build() — a second build() of this builder
-  /// constructs its own engine rather than silently sharing mutable
-  /// solver workspaces between two live Simulations. (A builder copied
-  /// *before* build() still duplicates the handle: fork first, then set
-  /// the pipeline on the fork that will run.)
-  SimulationBuilder& pipeline(std::shared_ptr<EnergyPipeline> p);
 
   // --- backend selection --------------------------------------------------
   /// Legacy knob behind obc_backend = "auto" (paper §5.3).
@@ -386,8 +360,6 @@ class SimulationBuilder {
   const device::Structure* structure_;
   SimulationOptions opt_;
   const StageRegistry* registry_ = nullptr;
-  // mutable: build() is const but consumes the one-shot reuse handle.
-  mutable std::shared_ptr<EnergyPipeline> pipeline_;
   std::vector<Simulation::IterationCallback> iteration_observers_;
   std::vector<Simulation::KernelTimingCallback> kernel_observers_;
 };

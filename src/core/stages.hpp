@@ -75,7 +75,10 @@ class ObcSolver {
   /// Dispatch counters (direct vs memoized solves, fixed-point iterations).
   virtual const obc::MemoizerStats& stats() const = 0;
 
-  /// Drop any cross-iteration state (caches, counters).
+  /// Drop any cross-iteration state (caches, counters). Nothing in the
+  /// library calls it — every pipeline serves one run — but the qtxbench
+  /// harness's decorating backend overrides it, so it stays until that
+  /// harness drops the override.
   virtual void reset() {}
 };
 

@@ -135,7 +135,7 @@ std::string serialize_scenario(const Scenario& s);
 std::uint64_t canonical_deck_hash(const Scenario& s);
 
 /// `canonical_deck_hash` as 16 lowercase hex digits (stable textual form
-/// for logs, provenance, and pool keys).
+/// for logs and provenance).
 std::string canonical_deck_hash_hex(const Scenario& s);
 
 /// Stem of a path ("scenarios/quickstart.ini" → "quickstart") — the rule

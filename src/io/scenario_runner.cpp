@@ -7,7 +7,6 @@
 #include <cstdlib>
 #include <filesystem>
 #include <thread>
-#include <utility>
 
 #include "common/strings.hpp"
 #include "core/perf_model.hpp"
@@ -68,14 +67,12 @@ core::SimulationOptions resolved_solver_options(
 
 RunOutcome run_scenario(const Scenario& s,
                         const core::StageRegistry& registry,
-                        const ProgressFn& progress,
-                        std::shared_ptr<core::EnergyPipeline> pipeline,
+                        const ProgressFn& progress, std::nullptr_t,
                         par::Comm* comm) {
   const device::Structure structure = make_structure(s);
   RunOutcome out;
   out.resolved = resolved_solver_options(s, structure);
-  core::Simulation sim(structure, out.resolved, registry,
-                       std::move(pipeline));
+  core::Simulation sim(structure, out.resolved, registry);
   if (comm != nullptr) sim.distribute_over(*comm);
   if (progress) sim.on_iteration(progress);
   out.results.result = sim.run();
@@ -103,30 +100,24 @@ RunOutcome run_scenario(const Scenario& s,
         comm->allreduce_sum(static_cast<double>(comm->bytes_sent()));
   }
 
-  // Hand the engine out for reuse: the local Simulation dies at return, so
-  // this is the shared_pipeline() ownership transfer, not aliasing.
-  out.pipeline = sim.shared_pipeline();
-
   // Publish run-level counters into the process metrics registry (the
   // snapshot `qtx run --metrics` and the serve stats frame render). Gauges
   // reflect the most recent run; per-phase time and flops are absorbed
   // from their own ledgers at snapshot time (obs::snapshot_process).
   obs::MetricsRegistry& metrics = obs::MetricsRegistry::global();
-  if (out.pipeline) {
-    const obc::MemoizerStats ms = out.pipeline->obc_stats();
-    metrics.set_gauge("qtx.obc.direct_calls",
-                      static_cast<double>(ms.direct_calls));
-    metrics.set_gauge("qtx.obc.memoized_calls",
-                      static_cast<double>(ms.memoized_calls));
-    metrics.set_gauge("qtx.obc.fpi_iterations",
-                      static_cast<double>(ms.fpi_iterations));
-    const double calls =
-        static_cast<double>(ms.direct_calls + ms.memoized_calls);
-    metrics.set_gauge("qtx.obc.memoize_hit_rate",
-                      calls > 0.0
-                          ? static_cast<double>(ms.memoized_calls) / calls
-                          : 0.0);
-  }
+  const obc::MemoizerStats ms = sim.memoizer_stats();
+  metrics.set_gauge("qtx.obc.direct_calls",
+                    static_cast<double>(ms.direct_calls));
+  metrics.set_gauge("qtx.obc.memoized_calls",
+                    static_cast<double>(ms.memoized_calls));
+  metrics.set_gauge("qtx.obc.fpi_iterations",
+                    static_cast<double>(ms.fpi_iterations));
+  const double calls =
+      static_cast<double>(ms.direct_calls + ms.memoized_calls);
+  metrics.set_gauge("qtx.obc.memoize_hit_rate",
+                    calls > 0.0
+                        ? static_cast<double>(ms.memoized_calls) / calls
+                        : 0.0);
   metrics.set_gauge("qtx.run.iterations",
                     static_cast<double>(out.results.result.iterations));
   metrics.add_counter("qtx.run.completed");
@@ -265,18 +256,10 @@ SweepOutcome run_sweep(const Scenario& s,
       resolved_solver_options(s, structure);
 
   SweepOutcome out;
-  std::shared_ptr<core::EnergyPipeline> pipe;
   for (const double value : s.sweep.values) {
     core::SimulationOptions opt = base;
     apply_sweep_value(opt, s.sweep.parameter, value);
-    // Reuse the previous point's engine when the batch layout and backend
-    // keys still match (always true for bias/temperature sweeps); an
-    // energy-resolution sweep rebuilds per point.
-    std::shared_ptr<core::EnergyPipeline> reuse =
-        (pipe && pipe->reuse_mismatch(opt.grid.n, opt).empty()) ? pipe
-                                                                : nullptr;
-    if (!reuse) ++out.pipeline_builds;
-    core::Simulation sim(structure, opt, registry, std::move(reuse));
+    core::Simulation sim(structure, opt, registry);
     if (progress) sim.on_iteration(progress);
     const core::TransportResult res = sim.run();
     SweepRow row;
@@ -288,7 +271,6 @@ SweepOutcome run_sweep(const Scenario& s,
     row.final_update = res.final_update;
     out.rows.push_back(row);
     if (out.rows.size() == 1) out.base_resolved = opt;
-    pipe = sim.shared_pipeline();
   }
 
   if (!s.output.directory.empty()) {

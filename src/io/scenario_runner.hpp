@@ -8,13 +8,8 @@
 /// whole `qtx run` / `qtx sweep` logic — the CLI binary only parses
 /// arguments and prints; everything here is library code the test suite
 /// exercises in-process.
-///
-/// Sweep runs share one `EnergyPipeline` across points whenever the grid,
-/// batch layout, and backend keys stay fixed (bias/temperature sweeps):
-/// the engine is reset — not rebuilt — between points, so a sweep with
-/// `num_threads = 8` spins up one thread pool instead of one per point,
-/// and every point's numbers stay bit-identical to a standalone run.
 
+#include <cstddef>
 #include <functional>
 #include <string>
 #include <vector>
@@ -41,13 +36,6 @@ struct RunOutcome {
   ScenarioResults results;            ///< observables + run record
   core::SimulationOptions resolved;   ///< provenance: the options used
   std::vector<std::string> files;     ///< paths written (empty if no output)
-  /// The run's energy pipeline, handed out for reuse (the
-  /// `shared_pipeline()` transfer — the Simulation that ran is gone by the
-  /// time run_scenario returns, so the caller owns the only live handle).
-  /// Pass it back as run_scenario's \p pipeline — or shelve it in a
-  /// serve::PipelinePool — to skip the engine build on the next compatible
-  /// run; drop it to discard the warm state.
-  std::shared_ptr<core::EnergyPipeline> pipeline;
 };
 
 /// Per-iteration progress hook (e.g. the CLI's live convergence print).
@@ -56,20 +44,20 @@ using ProgressFn = std::function<void(const core::IterationResult&)>;
 /// Run one scenario end-to-end: build, solve, collect observables, and —
 /// when the scenario's output directory is non-empty — write the
 /// configured CSV/JSON files (the directory is created if missing).
-/// \p pipeline optionally reuses a previous run's energy pipeline (must
-/// match the scenario's grid/backends; see Simulation's constructor).
 /// \p comm, when non-null, shards the solver stages over its world
 /// (`Simulation::distribute_over`): every rank of the world must call
 /// run_scenario with its own rank's Comm, observables are replicated and
 /// bit-identical on every rank, and only rank 0 writes output files (the
 /// other ranks return an empty `files` list). The results carry the comm
 /// provenance (ranks / backend / world-total bytes) for results.json.
+/// The unnamed fourth parameter accepts only `nullptr`: it used to take a
+/// pipeline to reuse, and stays only because the qtxbench harness still
+/// passes it.
 RunOutcome run_scenario(const Scenario& s,
                         const core::StageRegistry& registry =
                             core::StageRegistry::global(),
                         const ProgressFn& progress = nullptr,
-                        std::shared_ptr<core::EnergyPipeline> pipeline =
-                            nullptr,
+                        std::nullptr_t = nullptr,
                         par::Comm* comm = nullptr);
 
 /// Outcome of a multi-process `run_scenario_ranked` launch. The worker
@@ -117,7 +105,6 @@ struct SweepOutcome {
   std::vector<SweepRow> rows;  ///< one row per sweep value, in order
   core::SimulationOptions base_resolved;  ///< point-0 options (provenance)
   std::vector<std::string> files;  ///< paths written (empty if no output)
-  int pipeline_builds = 0;  ///< energy pipelines constructed (1 = fully reused)
 };
 
 /// Apply one sweep point to \p opt: "bias" splits the value symmetrically
@@ -127,11 +114,10 @@ struct SweepOutcome {
 void apply_sweep_value(core::SimulationOptions& opt,
                        const std::string& parameter, double value);
 
-/// Run the scenario's [sweep]: one simulation per value (reusing the
-/// energy pipeline whenever compatible), collecting terminal currents and
-/// convergence per point, and writing the sweep summary CSV when the
-/// output directory is non-empty. Throws ScenarioError if the scenario has
-/// no sweep section.
+/// Run the scenario's [sweep]: one standalone simulation per value,
+/// collecting terminal currents and convergence per point, and writing the
+/// sweep summary CSV when the output directory is non-empty. Throws
+/// ScenarioError if the scenario has no sweep section.
 SweepOutcome run_sweep(const Scenario& s,
                        const core::StageRegistry& registry =
                            core::StageRegistry::global(),

@@ -160,10 +160,6 @@ std::string append_serve_section(const std::string& results_json,
   section << ",\n  \"serve\": {\n"
           << "    \"cache_hit\": " << (info.cache_hit ? "true" : "false")
           << ",\n"
-          << "    \"pipeline\": \""
-          << (info.cache_hit ? "cached" : info.warm_pipeline ? "warm"
-                                                             : "cold")
-          << "\",\n"
           << "    \"queue_seconds\": " << qs::format_double(info.queue_seconds)
           << ",\n"
           << "    \"solve_seconds\": " << qs::format_double(info.solve_seconds)

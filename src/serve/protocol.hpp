@@ -29,7 +29,7 @@
 ///
 /// Responses are byte-identical to what a cold `qtx run` of the same deck
 /// writes to results.json, plus an appended "serve" provenance section
-/// (cache hit?, warm or cold pipeline?, queue wait, solve wall time).
+/// (cache hit?, queue wait, solve wall time).
 
 #include <cstdint>
 #include <stdexcept>
@@ -106,7 +106,6 @@ Request decode_request(const std::string& payload);
 /// "serve" section.
 struct ServeInfo {
   bool cache_hit = false;       ///< payload came from the ResultCache
-  bool warm_pipeline = false;   ///< solved on a pool-checked-out pipeline
   double queue_seconds = 0.0;   ///< time spent waiting in the request queue
   double solve_seconds = 0.0;   ///< wall time of the solve (0 on cache hit)
 };

@@ -37,25 +37,12 @@ void try_reply_error(int fd, const std::string& message) {
   }
 }
 
-/// The device half of a pool key: preset + every structure parameter, so
-/// two requests share warm engines only when they run the same layout
-/// (the pipeline itself never sees the device, hence the prefix).
-std::string device_layout_key(const io::Scenario& s) {
-  std::ostringstream os;
-  os << "preset=" << s.device_preset;
-  for (const auto& [key, value] :
-       device::serialize_structure_params(s.device))
-    os << "|" << key << "=" << value;
-  return os.str();
-}
-
 }  // namespace
 
 Server::Server(ServerOptions options, const core::StageRegistry& registry)
     : options_(std::move(options)),
       registry_(&registry),
-      cache_(options_.cache_bytes),
-      pool_(options_.pool_max_idle) {}
+      cache_(options_.cache_bytes) {}
 
 Server::~Server() {
   if (started_ && !joined_) {
@@ -151,7 +138,6 @@ ServerStats Server::stats() const {
     s.requests_error = requests_error_;
   }
   s.cache = cache_.stats();
-  s.pool = pool_.stats();
   return s;
 }
 
@@ -177,13 +163,6 @@ std::string Server::render_stats() const {
                   ? static_cast<double>(s.cache.hits) /
                         static_cast<double>(cache_lookups)
                   : 0.0);
-  m.set_gauge("qtx.serve.pool.warm_hits",
-              static_cast<double>(s.pool.warm_hits));
-  m.set_gauge("qtx.serve.pool.cold_builds",
-              static_cast<double>(s.pool.cold_builds));
-  m.set_gauge("qtx.serve.pool.discarded",
-              static_cast<double>(s.pool.discarded));
-  m.set_gauge("qtx.serve.pool.idle", static_cast<double>(s.pool.idle));
   {
     std::lock_guard<std::mutex> lock(mutex_);
     m.set_gauge("qtx.serve.queue_depth",
@@ -383,7 +362,7 @@ std::string Server::solve(const std::string& payload, ServeInfo& info) {
     throw io::ScenarioError(
         request.deck_name +
         ": [sweep] decks cannot be served — submit one request per sweep "
-        "point (the pipeline pool makes the repeats warm)");
+        "point, or run the deck with \"qtx sweep\"");
   }
   // The daemon never writes files; blanking the output spec also folds
   // output-only deck differences into one cache entry.
@@ -397,25 +376,9 @@ std::string Server::solve(const std::string& payload, ServeInfo& info) {
     return body;
   }
 
-  const device::Structure structure = io::make_structure(s);
-  const core::SimulationOptions resolved =
-      io::resolved_solver_options(s, structure);
-  const std::string pool_key =
-      device_layout_key(s) + "||" +
-      core::pipeline_reuse_key(resolved.grid.n, resolved);
-  std::shared_ptr<core::EnergyPipeline> pipeline = pool_.checkout(pool_key);
-  // The Simulation constructor throws on a reuse mismatch; the key should
-  // make one impossible, but a cold build beats taking the request down.
-  if (pipeline &&
-      !pipeline->reuse_mismatch(resolved.grid.n, resolved).empty()) {
-    pipeline.reset();
-  }
-  info.warm_pipeline = pipeline != nullptr;
   const double t0 = now_seconds();
-  io::RunOutcome out =
-      io::run_scenario(s, *registry_, nullptr, std::move(pipeline));
+  const io::RunOutcome out = io::run_scenario(s, *registry_);
   info.solve_seconds = now_seconds() - t0;
-  pool_.checkin(pool_key, std::move(out.pipeline));
   body = io::render_result_json(s, out.resolved, out.results);
   cache_.insert(key, body);
   return body;

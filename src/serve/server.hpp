@@ -4,15 +4,10 @@
 /// The `qtx serve` daemon: a long-lived AF_UNIX service that accepts
 /// scenario decks (serve/protocol.hpp frames), solves them on a small
 /// worker pool, and answers with results.json payloads bit-identical to a
-/// cold `qtx run` of the same deck. Two reuse layers amortize the cost the
-/// paper's production setting pays once per run:
-///
-///   - `ResultCache` — content-addressed (canonical deck hash → rendered
-///     payload): an identical request never recomputes at all;
-///   - `PipelinePool` — warm `EnergyPipeline` engines shelved per
-///     (device layout, backend configuration): a compatible request skips
-///     the engine build, and the Simulation reuse-mismatch validation
-///     forces a cold build on anything incompatible.
+/// cold `qtx run` of the same deck. A content-addressed `ResultCache`
+/// (canonical deck hash → rendered payload) answers an identical request
+/// without recomputing; every other request is a cold `io::run_scenario`
+/// whose `Simulation` builds and owns its own energy pipeline.
 ///
 /// Requests flow acceptor → bounded queue → workers. When the queue is
 /// full the acceptor answers an immediate error (backpressure instead of
@@ -26,7 +21,6 @@
 
 #include <cstdint>
 #include <deque>
-#include <memory>
 #include <mutex>
 #include <string>
 #include <thread>
@@ -35,7 +29,6 @@
 #include <condition_variable>
 
 #include "core/stage_registry.hpp"
-#include "serve/pipeline_pool.hpp"
 #include "serve/protocol.hpp"
 #include "serve/result_cache.hpp"
 
@@ -49,7 +42,15 @@ struct ServerOptions {
   std::size_t cache_bytes = 64ull << 20;  ///< ResultCache budget (0 = off)
   std::size_t max_request_bytes = 1ull << 20;  ///< request frame limit
   double request_timeout_s = 300.0;  ///< max queue wait before a timeout error
-  int pool_max_idle = 2;         ///< idle pipelines per pool key (0 = off)
+};
+
+/// Counters of the removed warm-pipeline pool. The server never writes
+/// them, so both stay 0. Kept only because the qtxbench harness still
+/// reads `ServerStats::pool` for its `serve.warm_ratio` metric; delete
+/// both together.
+struct PoolStats {
+  long long warm_hits = 0;    ///< always 0
+  long long cold_builds = 0;  ///< always 0
 };
 
 /// Aggregate counters of a running (or drained) server.
@@ -57,7 +58,7 @@ struct ServerStats {
   long long requests_ok = 0;     ///< requests answered with a response frame
   long long requests_error = 0;  ///< requests answered with an error frame
   ResultCache::Stats cache;      ///< hit/miss/eviction counters
-  PipelinePool::Stats pool;      ///< warm-hit/cold-build counters
+  PoolStats pool;                ///< always zero (see PoolStats)
 };
 
 class Server {
@@ -122,7 +123,6 @@ class Server {
   ServerOptions options_;
   const core::StageRegistry* registry_;
   ResultCache cache_;
-  PipelinePool pool_;
 
   int listen_fd_ = -1;
   int stop_pipe_rd_ = -1;

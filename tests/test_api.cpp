@@ -1,7 +1,7 @@
 // Tests for the public solver facade (core/simulation.hpp): option
 // validation messages, registry key dispatch (including unknown-key and
 // custom-backend paths), runtime backend equivalence, streaming observers,
-// stop-reason accounting, and the deprecated Scba shim.
+// and stop-reason accounting.
 
 #include <gtest/gtest.h>
 
@@ -11,7 +11,6 @@
 #include <vector>
 
 #include "core/observables.hpp"
-#include "core/scba.hpp"
 #include "core/simulation.hpp"
 
 namespace qtx::core {
@@ -160,8 +159,9 @@ TEST(OptionsValidation, RejectsBadEPhononAndContacts) {
 }
 
 TEST(OptionsValidation, LegacyOptionsStructIsValidatedToo) {
-  // The deprecated flat-options path (Simulation ctor, Scba shim) runs the
-  // same validate() pass — the silent-misconfiguration regression.
+  // The flat-options path (a field-filled SimulationOptions handed straight
+  // to the Simulation constructor) runs the same validate() pass as the
+  // builder — the silent-misconfiguration regression.
   const device::Structure st = device::make_test_structure(3);
   SimulationOptions opt;
   opt.grid = EnergyGrid{-6.0, 6.0, 16};
@@ -367,28 +367,6 @@ TEST(Observers, TransportResultAggregatesKernelLedger) {
   EXPECT_GT(res.total_seconds, 0.0);
   EXPECT_EQ(res.final_update, res.history.back().sigma_update);
 }
-
-// --- deprecated shim -------------------------------------------------------
-
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-
-TEST(ScbaShim, OldApiMatchesSimulation) {
-  const device::Structure st = device::make_test_structure(3);
-  SimulationOptions opt = small_builder(st).peek_options();
-  Scba shim(st, opt);
-  const std::vector<IterationResult> history = shim.run();
-  Simulation sim(st, opt);
-  const TransportResult res = sim.run();
-  ASSERT_EQ(history.size(), res.history.size());
-  EXPECT_EQ(history.back().stop, res.stop_reason);
-  EXPECT_EQ(shim.converged(), sim.converged());
-  EXPECT_EQ(shim.iteration(), sim.iteration());
-  EXPECT_DOUBLE_EQ(terminal_current_left(shim), terminal_current_left(sim));
-  // Early-stop satellite: the reason lives in the final result.
-  EXPECT_NE(history.back().stop, StopReason::kNone);
-}
-#pragma GCC diagnostic pop
 
 }  // namespace
 }  // namespace qtx::core

@@ -2,19 +2,20 @@
 //
 //  - ResultCache: hit/miss counters, LRU eviction under the byte budget,
 //    zero-budget and oversized-payload edge cases
-//  - PipelinePool: shelf round trips, key isolation, the idle cap
 //  - frame codec over a socketpair: round trips, clean EOF, truncation,
 //    the oversized-header guard
 //  - request codec: encode/decode round trip and malformed-preamble
 //    rejection
 //  - the "serve" provenance section: append + strip round trips
-//  - Server end to end (in-process daemon + the real Client): warm-pool
-//    and cache-hit responses bit-identical to a cold run (compared after
-//    strip_volatile_sections, the pinned volatile-free projection),
+//  - Server end to end (in-process daemon + the real Client): uncached
+//    repeats and cache-hit responses bit-identical to a cold run (compared
+//    after strip_volatile_sections, the pinned volatile-free projection),
 //    override handling, located deck errors, sweep rejection, malformed
 //    and oversized frames, queue backpressure, queue timeouts, and the
 //    graceful drain (in-flight requests complete, queued ones get a clear
 //    error) driven by a gate-controlled OBC backend
+//  - concurrent clients with different eta / num_threads / energy_batch:
+//    every reply bit-identical to its own cold reference
 //  - ServedGolden (also registered as ctest test golden.served_quickstart):
 //    the served quickstart transmission matches
 //    tests/golden/quickstart_transmission.txt bit-for-bit
@@ -46,7 +47,6 @@
 #include "io/result_writer.hpp"
 #include "io/scenario_runner.hpp"
 #include "serve/client.hpp"
-#include "serve/pipeline_pool.hpp"
 #include "serve/protocol.hpp"
 #include "serve/result_cache.hpp"
 #include "serve/server.hpp"
@@ -144,18 +144,6 @@ std::string stripped(const std::string& results_json) {
   return serve::strip_volatile_sections(results_json);
 }
 
-/// A solved mini-deck pipeline for the pool unit tests (the only way user
-/// code obtains one — RunOutcome's shared_pipeline transfer).
-std::shared_ptr<core::EnergyPipeline> make_pipeline() {
-  io::Scenario s = io::parse_scenario_text(kMiniDeck, "pool.ini");
-  s.output = io::OutputSpec{};
-  s.output.directory.clear();
-  io::RunOutcome out =
-      io::run_scenario(s, core::StageRegistry::global(), nullptr);
-  EXPECT_NE(out.pipeline, nullptr);
-  return out.pipeline;
-}
-
 int connect_unix(const std::string& path) {
   sockaddr_un addr{};
   addr.sun_family = AF_UNIX;
@@ -251,55 +239,6 @@ TEST(ResultCacheUnit, ReinsertingAKeyRefreshesInPlace) {
 }
 
 // ---------------------------------------------------------------------------
-// PipelinePool
-// ---------------------------------------------------------------------------
-
-TEST(PipelinePoolUnit, EmptyCheckoutIsACountedColdBuild) {
-  serve::PipelinePool pool(2);
-  EXPECT_EQ(pool.checkout("k"), nullptr);
-  EXPECT_EQ(pool.stats().cold_builds, 1);
-  EXPECT_EQ(pool.stats().warm_hits, 0);
-}
-
-TEST(PipelinePoolUnit, CheckinThenCheckoutReturnsTheShelvedEngine) {
-  serve::PipelinePool pool(2);
-  const std::shared_ptr<core::EnergyPipeline> p = make_pipeline();
-  pool.checkin("k", p);
-  EXPECT_EQ(pool.stats().idle, 1);
-  const std::shared_ptr<core::EnergyPipeline> q = pool.checkout("k");
-  EXPECT_EQ(q.get(), p.get());
-  EXPECT_EQ(pool.stats().warm_hits, 1);
-  EXPECT_EQ(pool.stats().idle, 0);
-  // A second checkout finds the shelf empty again (no double handout).
-  EXPECT_EQ(pool.checkout("k"), nullptr);
-}
-
-TEST(PipelinePoolUnit, KeysAreIsolated) {
-  serve::PipelinePool pool(2);
-  pool.checkin("layout-a", make_pipeline());
-  EXPECT_EQ(pool.checkout("layout-b"), nullptr);
-  EXPECT_NE(pool.checkout("layout-a"), nullptr);
-}
-
-TEST(PipelinePoolUnit, IdleCapDiscardsTheOverflow) {
-  serve::PipelinePool pool(1);
-  pool.checkin("k", make_pipeline());
-  pool.checkin("k", make_pipeline());
-  EXPECT_EQ(pool.stats().discarded, 1);
-  EXPECT_EQ(pool.stats().idle, 1);
-}
-
-TEST(PipelinePoolUnit, ZeroCapAndNullCheckinsAreIgnored) {
-  serve::PipelinePool disabled(0);
-  disabled.checkin("k", make_pipeline());
-  EXPECT_EQ(disabled.checkout("k"), nullptr);
-
-  serve::PipelinePool pool(2);
-  pool.checkin("k", nullptr);
-  EXPECT_EQ(pool.stats().idle, 0);
-}
-
-// ---------------------------------------------------------------------------
 // Frame codec
 // ---------------------------------------------------------------------------
 
@@ -392,13 +331,11 @@ TEST(ServeSection, AppendsProvenanceAndStripsBackToTheColdDocument) {
   EXPECT_EQ(body.substr(body.size() - 3), "}}\n");
 
   serve::ServeInfo info;
-  info.warm_pipeline = true;
   info.queue_seconds = 0.25;
   info.solve_seconds = 1.5;
   const std::string with = serve::append_serve_section(body, info);
   EXPECT_NE(with, body);
   EXPECT_NE(with.find("\"serve\": {"), std::string::npos);
-  EXPECT_NE(with.find("\"pipeline\": \"warm\""), std::string::npos);
   EXPECT_EQ(with.substr(with.size() - 3), "}}\n");
 
   // The volatile-free projection cannot tell the two documents apart —
@@ -470,8 +407,6 @@ class GatedObc : public core::ObcSolver {
     return inner_->stats();
   }
 
-  void reset() override { inner_->reset(); }
-
  private:
   std::unique_ptr<core::ObcSolver> inner_;
   std::shared_ptr<Gate> arrived_;
@@ -506,9 +441,9 @@ class ServeEndToEnd : public ::testing::Test {
   std::shared_ptr<Gate> release_;
 };
 
-TEST_F(ServeEndToEnd, WarmPoolReuseIsBitIdenticalToAColdRun) {
+TEST_F(ServeEndToEnd, UncachedRepeatIsBitIdenticalToAColdRun) {
   serve::ServerOptions opt;
-  opt.socket_path = sock("warm.sock");
+  opt.socket_path = sock("repeat.sock");
   opt.cache_bytes = 0;  // force the second request through the solver
   serve::Server server(opt);
   server.start();
@@ -520,9 +455,6 @@ TEST_F(ServeEndToEnd, WarmPoolReuseIsBitIdenticalToAColdRun) {
 
   ASSERT_TRUE(r1.ok) << r1.error;
   ASSERT_TRUE(r2.ok) << r2.error;
-  EXPECT_NE(r1.payload.find("\"pipeline\": \"cold\""), std::string::npos);
-  EXPECT_NE(r2.payload.find("\"pipeline\": \"warm\""), std::string::npos);
-
   const std::string reference = stripped(cold_reference(kMiniDeck));
   EXPECT_EQ(stripped(r1.payload), reference);
   EXPECT_EQ(stripped(r2.payload), reference);
@@ -530,8 +462,6 @@ TEST_F(ServeEndToEnd, WarmPoolReuseIsBitIdenticalToAColdRun) {
   const serve::ServerStats stats = server.stats();
   EXPECT_EQ(stats.requests_ok, 2);
   EXPECT_EQ(stats.requests_error, 0);
-  EXPECT_EQ(stats.pool.cold_builds, 1);
-  EXPECT_EQ(stats.pool.warm_hits, 1);
   EXPECT_EQ(stats.cache.hits, 0);
 }
 
@@ -550,7 +480,6 @@ TEST_F(ServeEndToEnd, CacheHitReturnsTheStoredBytes) {
   ASSERT_TRUE(r2.ok) << r2.error;
   EXPECT_NE(r1.payload.find("\"cache_hit\": false"), std::string::npos);
   EXPECT_NE(r2.payload.find("\"cache_hit\": true"), std::string::npos);
-  EXPECT_NE(r2.payload.find("\"pipeline\": \"cached\""), std::string::npos);
   EXPECT_EQ(stripped(r1.payload), stripped(r2.payload));
   EXPECT_EQ(stripped(r1.payload), stripped(cold_reference(kMiniDeck)));
 
@@ -774,20 +703,33 @@ TEST(ServeConcurrent, StressedResponsesMatchSequentialReferences) {
   serve::Server server(opt);
   server.start();
 
-  const std::vector<std::string> etas = {"0.04", "0.05", "0.06"};
+  // Clients differ in physics (eta) and in pipeline configuration (worker
+  // count, batch layout), so concurrent solves run differently shaped
+  // energy pipelines side by side. la_backend stays fixed: it is still
+  // installed process-wide.
+  using Overrides = std::vector<std::pair<std::string, std::string>>;
+  const std::vector<Overrides> configs = {
+      {{"eta", "0.04"}, {"num_threads", "1"}, {"energy_batch", "0"}},
+      {{"eta", "0.05"}, {"num_threads", "2"}, {"energy_batch", "3"}},
+      {{"eta", "0.06"}, {"num_threads", "4"}, {"energy_batch", "2"}},
+      {{"eta", "0.04"}, {"num_threads", "4"}, {"energy_batch", "1"}},
+      {{"eta", "0.05"}, {"num_threads", "1"}, {"energy_batch", "8"}},
+      {{"eta", "0.06"}, {"num_threads", "2"}, {"energy_batch", "0"}},
+  };
   std::vector<std::string> references;
-  references.reserve(etas.size());
-  for (const std::string& eta : etas)
-    references.push_back(stripped(cold_reference(kMiniDeck, {{"eta", eta}})));
+  references.reserve(configs.size());
+  for (const Overrides& config : configs)
+    references.push_back(stripped(cold_reference(kMiniDeck, config)));
 
-  constexpr int kClients = 8;
+  constexpr int kClients = 12;
   std::vector<std::future<serve::Client::Response>> futures;
   futures.reserve(kClients);
   for (int i = 0; i < kClients; ++i) {
-    const std::string eta = etas[static_cast<std::size_t>(i) % etas.size()];
-    futures.push_back(std::async(std::launch::async, [&opt, eta] {
+    const Overrides config =
+        configs[static_cast<std::size_t>(i) % configs.size()];
+    futures.push_back(std::async(std::launch::async, [&opt, config] {
       const serve::Client client(opt.socket_path);
-      return client.submit(kMiniDeck, "request.ini", {{"eta", eta}});
+      return client.submit(kMiniDeck, "request.ini", config);
     }));
   }
   for (int i = 0; i < kClients; ++i) {
